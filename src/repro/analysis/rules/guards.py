@@ -21,7 +21,10 @@ Three guard kinds, each with a statically checkable discipline:
 ``event-loop``
     The attribute belongs to one asyncio event loop: it may only be
     mutated inside ``async def`` bodies (everything on the loop is
-    serialized) or the declaring function.
+    serialized), inside methods of a class deriving from an
+    ``asyncio`` protocol base (``class C(asyncio.Protocol)``: asyncio
+    invokes protocol callbacks on the loop, and the helpers they call
+    run there too), or in the declaring function.
 
 ``owner``
     Serial state encapsulated by its class: it may only be mutated
@@ -49,6 +52,13 @@ MUTATOR_METHODS = frozenset({
     "append", "extend", "insert", "remove", "pop", "popleft", "appendleft",
     "clear", "add", "discard", "update", "setdefault", "popitem", "sort",
     "reverse", "put", "put_nowait",
+})
+
+
+#: Base classes whose methods asyncio calls on the event loop.
+LOOP_CALLBACK_BASES = frozenset({
+    "asyncio.BaseProtocol", "asyncio.Protocol", "asyncio.BufferedProtocol",
+    "asyncio.DatagramProtocol", "asyncio.SubprocessProtocol",
 })
 
 
@@ -142,7 +152,8 @@ class GuardedByRule(Rule):
     description = (
         "attributes declared `# guarded by: <lock>` may only be mutated "
         "under a `with` on that lock (or, for event-loop/owner guards, "
-        "from async bodies / the declaring class)"
+        "from async bodies or asyncio protocol methods / the declaring "
+        "class)"
     )
     also_emits = ("guard-conflict",)
 
@@ -223,6 +234,8 @@ class _MutationChecker(ast.NodeVisitor):
         self.registry = registry
         self.findings: List[Finding] = []
         self.class_stack: List[str] = []
+        #: Per enclosing class: does it derive from an asyncio protocol?
+        self.loop_classes: List[bool] = []
         self.func_stack: List[ast.AST] = []
         self.held: List[str] = []  # unparsed `with` context expressions
         self.reported: Set[Tuple[str, int]] = set()
@@ -231,7 +244,11 @@ class _MutationChecker(ast.NodeVisitor):
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self.class_stack.append(node.name)
+        self.loop_classes.append(
+            any(ast.unparse(base) in LOOP_CALLBACK_BASES for base in node.bases)
+        )
         self.generic_visit(node)
+        self.loop_classes.pop()
         self.class_stack.pop()
 
     def _visit_function(self, node) -> None:
@@ -301,7 +318,7 @@ class _MutationChecker(ast.NodeVisitor):
             on_loop = any(
                 isinstance(func, ast.AsyncFunctionDef)
                 for func in self.func_stack
-            )
+            ) or (self.loop_classes and self.loop_classes[-1])
             if not on_loop:
                 self.reported.add((attr, line))
                 self.findings.append(Finding(

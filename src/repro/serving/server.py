@@ -5,22 +5,25 @@ module puts a real TCP listener in front of the reproduction's data
 server.  Design:
 
 Connection anatomy
-    Each accepted connection runs two tasks.  The *reader* parses
-    length-prefixed frames and enqueues decoded operations onto a
-    bounded per-connection queue (the pipeline); the *responder* —
-    exactly one per connection — executes operations and writes replies
-    in arrival order, so a pipelined client never observes reordering
-    within its connection.
+    Each accepted connection is one :class:`asyncio.Protocol`, with no
+    task of its own.  ``data_received`` feeds the bytes to the sans-IO
+    :class:`~repro.serving.wire.FrameDecoder`, decodes every completed
+    frame onto a per-connection deque, and then *pumps*: it executes
+    the ready ops synchronously, in arrival order, and answers the
+    whole batch with one ``transport.write``.  A pipelined client
+    therefore never observes reordering within its connection, and a
+    read that delivered many frames costs one send, not one per reply.
 
 Backpressure
-    Three mechanisms compose, each pausing the reader when saturated:
-    a global in-flight semaphore (``max_in_flight`` decoded-but-
-    unanswered operations across all connections), the bounded pipeline
-    queue (``pipeline_depth`` per connection), and the transport's
-    write-buffer high watermark — ``drain()`` in the responder blocks
-    once ``write_high_water`` bytes sit unsent, which keeps the queue
-    full, which pauses the reader.  ``read_pauses`` counts reader
-    stalls so tests can observe the watermark engaging.
+    The pump stops while the transport is over its write watermark
+    (``write_high_water``, via the ``pause_writing``/``resume_writing``
+    callbacks), so a slow reader leaves ops waiting on the deque.
+    Reading is paused while the deque holds ``pipeline_depth`` ops or
+    the global count of decoded-but-unanswered ops reaches
+    ``max_in_flight``; it resumes when both drop below their bounds.
+    Both bounds are checked after each read, so one read's frames may
+    overshoot them.  ``read_pauses`` counts every pause, so tests can
+    observe the bounds engaging.
 
 Execution
     Operations run on the event-loop thread, which serializes them
@@ -28,25 +31,31 @@ Execution
     registries are not thread-safe) — the differential harness relies
     on this.  The one exception: when a :class:`ProcessShardPool` is
     attached, PDP evaluation is shipped to the pool from an executor
-    thread (the pool is multi-driver safe) and the resulting decision
-    is threaded back into the PEP via the ``pdp_response`` seam.
+    thread (the pool is multi-driver safe).  The pump stops at that op;
+    the future's done-callback threads the decision back into the PEP
+    via the ``pdp_response`` seam, answers the op and restarts the
+    pump, so the ops behind it keep their order.
 
 Failure containment
     Payload-level garbage inside an intact frame produces an in-order
     :class:`ErrorReply` and the connection lives on.  Framing-level
-    corruption (oversized length prefix, truncated frame) kills only
-    that connection.  A client vanishing mid-pipeline cancels its
-    responder and releases its in-flight permits; other connections
-    never notice.
+    corruption (oversized length prefix, truncated frame) ends only
+    that connection's input: the frames completed before it are still
+    answered, then the connection closes.  On a clean EOF every op
+    already pipelined is answered before the close.  A client vanishing
+    mid-pipeline drops its waiting ops and releases their in-flight
+    count; other connections never notice.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import logging
 import socket
 import time
-from typing import Optional, Set
+from collections import deque
+from typing import Deque, Optional, Set
 
 from repro.core.user_query import UserQuery
 from repro.errors import ShardUnavailableError, TransportError
@@ -54,18 +63,16 @@ from repro.framework.messages import StreamRequestMessage
 from repro.framework.server import DataServer
 from repro.serving.stats import LatencyRecorder
 from repro.serving.wire import (
-    HEADER_BYTES,
-    MAX_FRAME_BYTES,
     AckReply,
     ErrorReply,
     EvaluateOp,
     EvaluateReply,
+    FrameDecoder,
     IngestOp,
     LoadOp,
     PingOp,
     RevokeOp,
     UpdateOp,
-    _HEADER,
     decode_message,
     encode_message,
 )
@@ -74,7 +81,18 @@ from repro.xacml.xml_io import parse_request_xml
 
 logger = logging.getLogger(__name__)
 
-_CLOSE = object()
+
+def _error_reply(error: Exception) -> ErrorReply:
+    """The wire form of an op failure."""
+    if isinstance(error, ShardUnavailableError):
+        # A dead/restarting shard is a transient, *retryable* fault
+        # (unless the shard was declared degraded): flag it so
+        # resilient clients back off and retry while the supervisor
+        # respawns the worker — the connection stays usable either way.
+        return ErrorReply(
+            type(error).__name__, str(error), retryable=error.retryable
+        )
+    return ErrorReply(type(error).__name__, str(error))
 
 
 class AsyncDataServer:
@@ -104,6 +122,7 @@ class AsyncDataServer:
         self.server = server
         self.host = host
         self.port = port
+        self.max_in_flight = max(1, max_in_flight)
         self.pipeline_depth = max(1, pipeline_depth)
         self.write_high_water = write_high_water
         #: Shrink the kernel send buffer (per accepted socket) so the
@@ -114,20 +133,26 @@ class AsyncDataServer:
         self.stats = LatencyRecorder()
         self.connections_total = 0  # guarded by: event-loop
         self.active_connections = 0  # guarded by: event-loop
-        #: Reader stalls: how often the pipeline queue or the in-flight
-        #: semaphore made the reader wait (the backpressure signal).
+        #: Reader stalls: how often a connection's reading was paused
+        #: by a full pipeline or the in-flight bound (the backpressure
+        #: signal).
         self.read_pauses = 0  # guarded by: event-loop
-        #: Connections dropped for framing-level protocol violations.
+        #: Connections whose input ended in a framing-level protocol
+        #: violation or a transport error.
         self.protocol_errors = 0  # guarded by: event-loop
-        self._in_flight = asyncio.Semaphore(max(1, max_in_flight))
+        #: Decoded-but-unanswered ops across all connections.
+        self._in_flight = 0  # guarded by: event-loop
+        self._connections: Set["_Connection"] = set()  # guarded by: event-loop
+        #: Connections with reading paused, rechecked as ops are answered.
+        self._paused: Set["_Connection"] = set()  # guarded by: event-loop
         self._asyncio_server: Optional[asyncio.base_events.Server] = None
-        self._connection_tasks: Set[asyncio.Task] = set()
 
     # -- lifecycle --------------------------------------------------------------
 
     async def start(self) -> "AsyncDataServer":
-        self._asyncio_server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._asyncio_server = await loop.create_server(
+            functools.partial(_Connection, self), self.host, self.port
         )
         self.port = self._asyncio_server.sockets[0].getsockname()[1]
         return self
@@ -143,145 +168,12 @@ class AsyncDataServer:
         if self._asyncio_server is None:
             return
         self._asyncio_server.close()
+        for connection in list(self._connections):
+            connection.abort()
         await self._asyncio_server.wait_closed()
         self._asyncio_server = None
-        for task in list(self._connection_tasks):
-            task.cancel()
-        if self._connection_tasks:
-            await asyncio.gather(*self._connection_tasks, return_exceptions=True)
-        self._connection_tasks.clear()
-
-    # -- connection handling -----------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connection_tasks.add(task)
-            task.add_done_callback(self._connection_tasks.discard)
-        self.connections_total += 1
-        self.active_connections += 1
-        sock = writer.get_extra_info("socket")
-        if self.sndbuf is not None and sock is not None:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, self.sndbuf)
-        writer.transport.set_write_buffer_limits(high=self.write_high_water)
-        queue: asyncio.Queue = asyncio.Queue(self.pipeline_depth)
-        responder = asyncio.create_task(self._respond_loop(queue, writer))
-        clean_eof = False
-        try:
-            while True:
-                try:
-                    header = await reader.readexactly(HEADER_BYTES)
-                except asyncio.IncompleteReadError as error:
-                    if error.partial:
-                        raise TransportError(
-                            "connection closed mid-frame (truncated header)"
-                        )
-                    clean_eof = True
-                    break
-                (length,) = _HEADER.unpack(header)
-                if length > MAX_FRAME_BYTES:
-                    raise TransportError(
-                        f"declared frame length {length} exceeds the "
-                        f"{MAX_FRAME_BYTES}-byte limit"
-                    )
-                try:
-                    payload = await reader.readexactly(length)
-                except asyncio.IncompleteReadError:
-                    raise TransportError(
-                        "connection closed mid-frame (truncated body)"
-                    )
-                try:
-                    seq, message = decode_message(payload)
-                except TransportError as error:
-                    # An intact frame with a garbage payload: answer it
-                    # (in order, like any op) and keep serving.
-                    seq, message = -1, ErrorReply("TransportError", str(error))
-                await self._enqueue(queue, (seq, time.perf_counter(), message))
-        except (TransportError, ConnectionResetError, OSError):
-            self.protocol_errors += 1
-        except asyncio.CancelledError:
-            # Server shutdown cancelled this connection; finish the
-            # teardown below and end the task cleanly (re-raising only
-            # trips asyncio's noisy connection-callback logging).
-            pass
-        finally:
-            try:
-                if clean_eof:
-                    # Let the responder flush the pipelined tail first.
-                    await queue.put(_CLOSE)
-                    try:
-                        await responder
-                    except Exception as error:
-                        logger.debug("responder failed during drain: %s", error)
-                else:
-                    responder.cancel()
-                    try:
-                        await responder
-                    except (asyncio.CancelledError, Exception) as error:
-                        logger.debug("responder cancel teardown: %r", error)
-                    # Permits of dropped (still-queued) items.
-                    while not queue.empty():
-                        if queue.get_nowait() is not _CLOSE:
-                            self._in_flight.release()
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except Exception as error:
-                    logger.debug("wait_closed after teardown: %s", error)
-            except asyncio.CancelledError:
-                # Cancelled mid-teardown (server shutdown): finish with
-                # the synchronous essentials and end cleanly.
-                responder.cancel()
-                writer.close()
-            finally:
-                self.active_connections -= 1
-
-    async def _enqueue(self, queue: asyncio.Queue, item) -> None:
-        """Admit one decoded op, pausing the reader when saturated."""
-        if self._in_flight.locked():
-            self.read_pauses += 1
-        await self._in_flight.acquire()
-        try:
-            if queue.full():
-                self.read_pauses += 1
-            await queue.put(item)
-        except BaseException:
-            self._in_flight.release()
-            raise
-
-    async def _respond_loop(self, queue: asyncio.Queue, writer) -> None:
-        """The single per-connection responder: strict arrival order.
-
-        Exits only on the close sentinel or cancellation — a peer that
-        stops reading breaks the *writes*, not the loop, so already-
-        pipelined operations still execute and release their permits
-        (and a full queue can never deadlock the reader's shutdown).
-        """
-        broken = False
-        while True:
-            item = await queue.get()
-            if item is _CLOSE:
-                return
-            seq, received, message = item
-            try:
-                if isinstance(message, ErrorReply):
-                    reply, op_name = message, None  # decode failure, pre-made
-                else:
-                    op_name = type(message).__name__
-                    reply = await self.execute(message)
-                if not broken:
-                    try:
-                        writer.write(encode_message(seq, reply))
-                        await writer.drain()
-                    except asyncio.CancelledError:
-                        raise
-                    except Exception as error:
-                        logger.debug("reply write failed, connection broken: %s", error)
-                        broken = True
-                if op_name is not None and not broken:
-                    self.stats.record(op_name, time.perf_counter() - received)
-            finally:
-                self._in_flight.release()
+        # The transports report connection_lost on the next iteration.
+        await asyncio.sleep(0)
 
     # -- operation execution -----------------------------------------------------
 
@@ -290,25 +182,36 @@ class AsyncDataServer:
         :class:`ErrorReply`, exactly what goes on the wire.  Public so
         differential harnesses can replay served semantics in-process.
         """
-        try:
-            return await self._execute(message)
-        except asyncio.CancelledError:
-            raise
-        except ShardUnavailableError as error:
-            # A dead/restarting shard is a transient, *retryable* fault
-            # (unless the shard was declared degraded): flag it so
-            # resilient clients back off and retry while the supervisor
-            # respawns the worker — the connection stays usable either
-            # way.
-            return ErrorReply(
-                type(error).__name__, str(error), retryable=error.retryable
-            )
-        except Exception as error:
-            return ErrorReply(type(error).__name__, str(error))
+        request = pdp_response = None
+        if self.pool is not None and isinstance(message, EvaluateOp):
+            try:
+                request, decision = self._pool_decision(message)
+                pdp_response = await decision
+            except Exception as error:
+                return _error_reply(error)
+        return self._reply(message, request, pdp_response)
 
-    async def _execute(self, message):
-        if isinstance(message, EvaluateOp):
-            return await self._evaluate(message)
+    def _pool_decision(self, op: EvaluateOp):
+        """Parse *op*'s request and ship its PDP call to the pool:
+        ``(request, future)``."""
+        request = parse_request_xml(op.request_xml)
+        # The pool is multi-driver: executor threads are drivers.
+        future = asyncio.get_running_loop().run_in_executor(
+            None, self.pool.evaluate, request
+        )
+        return request, future
+
+    def _reply(self, message, request=None, pdp_response=None):
+        """The synchronous core of :meth:`execute`: the reply for one op,
+        given the pool's decision when the PDP already ran elsewhere."""
+        try:
+            if isinstance(message, EvaluateOp):
+                return self._evaluate(message, request, pdp_response)
+            return self._execute_other(message)
+        except Exception as error:
+            return _error_reply(error)
+
+    def _execute_other(self, message):
         if isinstance(message, (LoadOp, UpdateOp)):
             apply = (
                 self.server.load_policy
@@ -330,14 +233,9 @@ class AsyncDataServer:
             return AckReply("ping")
         return ErrorReply("TransportError", f"unserveable op {type(message).__name__}")
 
-    async def _evaluate(self, op: EvaluateOp):
-        request = parse_request_xml(op.request_xml)
-        pdp_response = None
-        if self.pool is not None:
-            # The pool is multi-driver: executor threads are drivers.
-            pdp_response = await asyncio.get_running_loop().run_in_executor(
-                None, self.pool.evaluate, request
-            )
+    def _evaluate(self, op: EvaluateOp, request=None, pdp_response=None):
+        if request is None:
+            request = parse_request_xml(op.request_xml)
         if op.decide_only:
             response = (
                 pdp_response
@@ -362,3 +260,214 @@ class AsyncDataServer:
             error_kind=response.error_kind,
             error_detail=response.error_detail,
         )
+
+
+class _Connection(asyncio.Protocol):
+    """One accepted connection: decode, execute and answer inline.
+
+    Every callback runs on the event loop, so the state below needs no
+    lock; ops waiting on the deque count toward the front's in-flight
+    total until they are answered or dropped.
+    """
+
+    def __init__(self, front: AsyncDataServer) -> None:
+        self._front = front
+        self._transport: Optional[asyncio.Transport] = None
+        self._decoder = FrameDecoder()
+        #: Decoded ops waiting to run: ``(seq, received, message)``.
+        self._pending: Deque[tuple] = deque()  # guarded by: event-loop
+        #: The pool future the pump is stopped at, if any.
+        self._waiting: Optional[asyncio.Future] = None  # guarded by: event-loop
+        self._writing_paused = False  # guarded by: event-loop
+        self._reading_paused = False  # guarded by: event-loop
+        #: No more input (EOF or a framing violation): answer what is
+        #: pending, then close.
+        self._input_done = False  # guarded by: event-loop
+        self._closed = False  # guarded by: event-loop
+
+    # -- transport callbacks -----------------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        front = self._front
+        self._transport = transport
+        front.connections_total += 1
+        front.active_connections += 1
+        front._connections.add(self)
+        sock = transport.get_extra_info("socket")
+        if front.sndbuf is not None and sock is not None:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, front.sndbuf)
+        transport.set_write_buffer_limits(high=front.write_high_water)
+
+    def data_received(self, data: bytes) -> None:
+        if self._input_done:
+            return
+        received = time.perf_counter()
+        decoder = self._decoder
+        try:
+            frames = decoder.feed(data)
+        except TransportError:
+            frames = ()
+        if frames:
+            pending = self._pending
+            for payload in frames:
+                try:
+                    seq, message = decode_message(payload)
+                except TransportError as error:
+                    # An intact frame with a garbage payload: answer it
+                    # (in order, like any op) and keep serving.
+                    seq, message = -1, ErrorReply("TransportError", str(error))
+                pending.append((seq, received, message))
+            self._front._in_flight += len(frames)
+        if decoder.error is not None:
+            self._end_input(protocol_error=True)
+        self._pump()
+
+    def eof_received(self) -> bool:
+        if not self._input_done:
+            try:
+                self._decoder.eof()
+            except TransportError:
+                self._end_input(protocol_error=True)
+            else:
+                self._end_input(protocol_error=False)
+        # Keep the transport open (half-closed) while ops are still to
+        # be answered; the pump closes it once they are.
+        return bool(self._pending) or self._waiting is not None
+
+    def pause_writing(self) -> None:
+        self._writing_paused = True
+
+    def resume_writing(self) -> None:
+        self._writing_paused = False
+        self._pump()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        front = self._front
+        if exc is not None:
+            logger.debug("connection lost: %r", exc)
+            if not self._input_done:
+                front.protocol_errors += 1
+        self._shut()
+        front.active_connections -= 1
+        front._connections.discard(self)
+
+    def abort(self) -> None:
+        """Server shutdown: drop the waiting ops and the connection."""
+        self._shut()
+        self._transport.abort()
+
+    # -- the pump ---------------------------------------------------------------
+
+    def _pump(self, done: Optional[tuple] = None) -> None:
+        """Run every ready op in arrival order and answer the batch with
+        one write.  *done* is an op already executed, answered first."""
+        if self._closed:
+            return
+        front = self._front
+        pending = self._pending
+        answered = [done] if done is not None else []
+        while pending and self._waiting is None and not self._writing_paused:
+            seq, received, message = pending.popleft()
+            if isinstance(message, ErrorReply):
+                answered.append((seq, received, None, message))  # decode failure
+                continue
+            if front.pool is not None and isinstance(message, EvaluateOp):
+                try:
+                    request, future = front._pool_decision(message)
+                except Exception as error:
+                    answered.append((seq, received, "EvaluateOp", _error_reply(error)))
+                    continue
+                self._waiting = future
+                future.add_done_callback(functools.partial(
+                    self._pdp_done, seq, received, message, request
+                ))
+                break
+            answered.append(
+                (seq, received, type(message).__name__, front._reply(message))
+            )
+        if answered:
+            self._answer(answered)
+        self._update_reading()
+        if self._input_done and not pending and self._waiting is None:
+            self._transport.close()
+
+    def _pdp_done(self, seq, received, message, request, future) -> None:
+        """A pool decision arrived: finish its op and restart the pump."""
+        if future.cancelled():
+            return  # the connection went away first
+        error = future.exception()
+        if self._closed:
+            return  # its in-flight count went with the connection
+        self._waiting = None
+        if error is None:
+            reply = self._front._reply(message, request, future.result())
+        else:
+            reply = _error_reply(error)
+        self._pump((seq, received, "EvaluateOp", reply))
+
+    def _answer(self, answered: list) -> None:
+        """One write for a batch of ``(seq, received, op, reply)``."""
+        frames = []
+        for seq, _, _, reply in answered:
+            try:
+                frames.append(encode_message(seq, reply))
+            except TransportError as error:
+                # A reply too large for one frame still answers its slot.
+                frames.append(encode_message(seq, _error_reply(error)))
+        self._transport.write(b"".join(frames))
+        now = time.perf_counter()
+        stats = self._front.stats
+        for _, received, op_name, _ in answered:
+            if op_name is not None:
+                stats.record(op_name, now - received)
+        self._release(len(answered))
+
+    # -- in-flight and read-pause bookkeeping --------------------------------------
+
+    def _release(self, count: int) -> None:
+        """*count* ops left flight; resume connections the bound paused."""
+        front = self._front
+        front._in_flight -= count
+        if front._paused and front._in_flight < front.max_in_flight:
+            for connection in list(front._paused):
+                connection._update_reading()
+
+    def _update_reading(self) -> None:
+        """Pause or resume reading to match the pipeline and in-flight bounds."""
+        front = self._front
+        if self._closed or self._input_done:
+            front._paused.discard(self)
+            return
+        full = (
+            len(self._pending) >= front.pipeline_depth
+            or front._in_flight >= front.max_in_flight
+        )
+        if full and not self._reading_paused:
+            self._reading_paused = True
+            front.read_pauses += 1
+            front._paused.add(self)
+            self._transport.pause_reading()
+        elif self._reading_paused and not full:
+            self._reading_paused = False
+            front._paused.discard(self)
+            self._transport.resume_reading()
+
+    def _end_input(self, protocol_error: bool) -> None:
+        """No more ops will arrive; the pending ones are still answered."""
+        self._input_done = True
+        if protocol_error:
+            self._front.protocol_errors += 1
+
+    def _shut(self) -> None:
+        """Drop the waiting ops and release their in-flight count."""
+        if self._closed:
+            return
+        self._closed = True
+        dropped = len(self._pending)
+        if self._waiting is not None:
+            dropped += 1
+            self._waiting.cancel()
+        self._pending.clear()
+        self._front._paused.discard(self)
+        if dropped:
+            self._release(dropped)

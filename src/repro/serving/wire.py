@@ -144,6 +144,19 @@ MESSAGE_TYPES: Dict[str, Type] = {
     "error": ErrorReply,
 }
 _OP_NAMES = {cls: name for name, cls in MESSAGE_TYPES.items()}
+#: Per-type field names in declaration order (the order ``asdict`` would
+#: emit), and the same names as a set for the decoder's unknown-field
+#: check — computed once here instead of on every frame.
+_FIELD_NAMES: Dict[Type, Tuple[str, ...]] = {
+    cls: tuple(f.name for f in dataclasses.fields(cls))
+    for cls in MESSAGE_TYPES.values()
+}
+_FIELD_SETS: Dict[Type, frozenset] = {
+    cls: frozenset(names) for cls, names in _FIELD_NAMES.items()
+}
+#: ``json.dumps`` with keyword arguments builds a fresh encoder per
+#: call; one shared compact encoder emits the same bytes.
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 # -- framing -------------------------------------------------------------------------
@@ -162,34 +175,51 @@ class FrameDecoder:
     """Incremental (sans-IO) frame parser.
 
     Feed it byte chunks of any granularity; iterate the complete
-    payloads it has accumulated.  Oversized length prefixes raise
-    immediately (before the body arrives); :meth:`eof` raises if the
-    peer hung up mid-frame.
+    payloads it has accumulated.  Oversized length prefixes are rejected
+    before the body arrives: when the bad prefix follows frames that the
+    same chunk completed, :meth:`feed` returns those frames and records
+    the error in :attr:`error`; otherwise it raises at once.  Once
+    :attr:`error` is set, every later :meth:`feed` and :meth:`eof`
+    raises it.  :meth:`eof` also raises if the peer hung up mid-frame.
     """
 
     def __init__(self) -> None:
         self._buffer = bytearray()
+        #: The framing violation that ended this stream, if any.
+        self.error: Optional[TransportError] = None
 
     def feed(self, data: bytes) -> List[bytes]:
         """Consume *data*; return every payload completed by it."""
-        self._buffer.extend(data)
+        if self.error is not None:
+            raise self.error
+        buffer = self._buffer
+        buffer.extend(data)
         frames: List[bytes] = []
-        while True:
-            if len(self._buffer) < HEADER_BYTES:
-                return frames
-            (length,) = _HEADER.unpack_from(self._buffer)
+        start = 0
+        end = len(buffer)
+        while end - start >= HEADER_BYTES:
+            (length,) = _HEADER.unpack_from(buffer, start)
             if length > MAX_FRAME_BYTES:
-                raise TransportError(
+                self.error = TransportError(
                     f"declared frame length {length} exceeds the "
                     f"{MAX_FRAME_BYTES}-byte limit"
                 )
-            if len(self._buffer) < HEADER_BYTES + length:
-                return frames
-            frames.append(bytes(self._buffer[HEADER_BYTES:HEADER_BYTES + length]))
-            del self._buffer[:HEADER_BYTES + length]
+                del buffer[:start]
+                if frames:
+                    return frames
+                raise self.error
+            body = start + HEADER_BYTES
+            if end - body < length:
+                break
+            frames.append(bytes(buffer[body:body + length]))
+            start = body + length
+        del buffer[:start]
+        return frames
 
     def eof(self) -> None:
         """Signal end of input; raises if a frame was left unfinished."""
+        if self.error is not None:
+            raise self.error
         if self._buffer:
             raise TransportError(
                 f"connection closed mid-frame with {len(self._buffer)} "
@@ -208,8 +238,9 @@ def encode_message(seq: int, message) -> bytes:
     op = _OP_NAMES.get(type(message))
     if op is None:
         raise TransportError(f"unregistered message type {type(message).__name__}")
-    envelope = {"seq": seq, "op": op, "body": dataclasses.asdict(message)}
-    return encode_frame(json.dumps(envelope, separators=(",", ":")).encode())
+    body = {name: getattr(message, name) for name in _FIELD_NAMES[type(message)]}
+    envelope = {"seq": seq, "op": op, "body": body}
+    return encode_frame(_JSON_ENCODER.encode(envelope).encode())
 
 
 def decode_message(payload: bytes) -> Tuple[int, object]:
@@ -238,8 +269,7 @@ def decode_message(payload: bytes) -> Tuple[int, object]:
     body = envelope.get("body")
     if not isinstance(body, dict):
         raise TransportError(f"op {op!r} body must be an object")
-    expected = {f.name for f in dataclasses.fields(message_type)}
-    unknown = set(body) - expected
+    unknown = body.keys() - _FIELD_SETS[message_type]
     if unknown:
         raise TransportError(
             f"op {op!r} carries unknown fields {sorted(unknown)}"

@@ -200,6 +200,46 @@ class TestEventLoopGuard:
         # scheduled on that same loop.
         assert findings == []
 
+    def test_asyncio_protocol_methods_count_as_on_loop(self):
+        findings = findings_for(
+            """
+            import asyncio
+
+            class Server:
+                def __init__(self):
+                    self.read_pauses = 0  # guarded by: event-loop
+
+            class Connection(asyncio.Protocol):
+                def __init__(self, front):
+                    self._front = front
+                    self._pending = []  # guarded by: event-loop
+
+                def data_received(self, data):
+                    self._pending.append(data)
+                    self._pause()
+
+                def _pause(self):
+                    self._front.read_pauses += 1
+            """
+        )
+        assert findings == []
+
+    def test_other_base_classes_stay_synchronous(self):
+        findings = findings_for(
+            """
+            import typing
+
+            class Connection(typing.Protocol):
+                def __init__(self):
+                    self.count = 0  # guarded by: event-loop
+
+                def data_received(self, data):
+                    self.count += 1
+            """
+        )
+        assert len(findings) == 1
+        assert "synchronous" in findings[0].message
+
 
 class TestOwnerGuard:
     def test_external_mutation_flagged(self):
