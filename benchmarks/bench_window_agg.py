@@ -1,12 +1,15 @@
-"""Window-aggregation benchmark — columnar incremental vs seed recompute.
+"""Window-aggregation benchmark — columnar windows vs seed recompute.
 
-The PR-3 tentpole moves window state to columnar per-attribute ring
-buffers and replaces recompute-per-window with incremental aggregate
-states (running sums, two-stacks min/max, reverse-Welford stdev).
-This benchmark pins the win across overlap ratios size/step ∈
-{1, 4, 16} on tuple windows (higher overlap = more recomputation
-saved), plus a sliding time-window run on the pointer-eviction path,
-against the seed row-oriented path (``StreamEngine.reference()``).
+Window state lives in columnar per-attribute ring buffers; a tuple
+window recomputes each emitted window from a column slice, and keeps
+incremental aggregate states (running sums, two-stacks min/max,
+paired-heap median) only past the crossover
+``size > INCREMENTAL_OVERLAP * step``.  This benchmark pins the win
+across overlap ratios size/step ∈ {1, 4, 16} at size 64 (the
+recompute side), one heavy-overlap row at size 256 / step 1 (the
+state side), and a sliding time-window run on the pointer-eviction
+path, each against the seed row-oriented path
+(``StreamEngine.reference()``).
 
 Results are emitted to ``BENCH_window_agg.json`` so the CI bench-smoke
 job can archive them as an artifact.  The size/step=16 speedup
@@ -35,6 +38,9 @@ from repro.streams.sources import WeatherSource
 TUPLES = WeatherSource(seed=5).tuples(4_000)
 WINDOW_SIZE = 64
 OVERLAP_RATIOS = (1, 4, 16)  # size/step: 1 = tumbling, 16 = heavy overlap
+#: One heavy-overlap window past the recompute/incremental crossover
+#: (size > INCREMENTAL_OVERLAP * step), where the states stay in use.
+HEAVY_OVERLAP = (256, 1)
 AGGREGATIONS = (
     "temperature:avg",
     "windspeed:max",
@@ -96,14 +102,14 @@ def test_tuple_window_overlap_sweep(benchmark):
 
     def sweep():
         results = {}
-        for ratio in OVERLAP_RATIOS:
-            step = WINDOW_SIZE // ratio
-            graph = aggregate_graph(WindowType.TUPLE, WINDOW_SIZE, step)
+        windows = [(WINDOW_SIZE, WINDOW_SIZE // ratio) for ratio in OVERLAP_RATIOS]
+        for size, step in windows + [HEAVY_OVERLAP]:
+            graph = aggregate_graph(WindowType.TUPLE, size, step)
             seed_s, seed_out = timed_run(False, graph)
             columnar_s, columnar_out = timed_run(True, graph)
             assert_outputs_equivalent(columnar_out, seed_out)
-            results[ratio] = {
-                "size": WINDOW_SIZE,
+            results[size // step] = {
+                "size": size,
                 "step": step,
                 "windows": len(columnar_out),
                 "seed_s": seed_s,
@@ -114,12 +120,12 @@ def test_tuple_window_overlap_sweep(benchmark):
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print_header(
-        f"Tuple-window aggregation — columnar incremental vs seed recompute "
-        f"({len(TUPLES)} tuples, size {WINDOW_SIZE}, {len(AGGREGATIONS)} aggregations)"
+        f"Tuple-window aggregation — columnar vs seed recompute "
+        f"({len(TUPLES)} tuples, {len(AGGREGATIONS)} aggregations)"
     )
-    for ratio, row in results.items():
+    for row in results.values():
         print(
-            f"  size/step {ratio:>2d}: seed "
+            f"  size {row['size']:>3d} step {row['step']:>2d}: seed "
             f"{len(TUPLES) / row['seed_s']:>10.0f} t/s"
             f"   columnar {len(TUPLES) / row['columnar_s']:>10.0f} t/s"
             f"   ({row['speedup']:.1f}x)"

@@ -35,21 +35,20 @@ import asyncio
 import logging
 import random
 import socket
-from typing import List, Optional, Sequence, Union
+from collections import deque
+from typing import Deque, List, Optional, Sequence, Union
 
 from repro.core.user_query import UserQuery
 from repro.errors import ClientTimeoutError, TransportError
 from repro.serving.wire import (
-    HEADER_BYTES,
-    MAX_FRAME_BYTES,
     ErrorReply,
     EvaluateOp,
+    FrameDecoder,
     IngestOp,
     LoadOp,
     PingOp,
     RevokeOp,
     UpdateOp,
-    _HEADER,
     decode_message,
     encode_message,
 )
@@ -85,6 +84,10 @@ class AsyncClient:
     ):
         self._reader = reader
         self._writer = writer
+        #: Reply framing: bytes read from the socket are fed to one
+        #: sans-IO decoder, and complete payloads wait here in order.
+        self._decoder = FrameDecoder()  # guarded by: event-loop
+        self._payloads: Deque[bytes] = deque()  # guarded by: event-loop
         self._seq = 0  # guarded by: event-loop
         self._timeout = timeout
         self.max_retries = max(0, max_retries)
@@ -265,16 +268,28 @@ class AsyncClient:
             timed.append((reply, loop.time() - started))
         return timed
 
+    #: Bytes asked of the socket per read while waiting for a reply.
+    READ_CHUNK = 64 * 1024
+
+    async def _next_payload(self) -> bytes:
+        """The next reply payload, framed by the connection's
+        :class:`FrameDecoder`.  An oversized length prefix or an EOF
+        mid-frame raises its :class:`TransportError` once the frames
+        completed before it are consumed; a clean EOF raises one too."""
+        payloads = self._payloads
+        while not payloads:
+            decoder = self._decoder
+            if decoder.error is not None:
+                raise decoder.error
+            data = await self._reader.read(self.READ_CHUNK)
+            if not data:
+                decoder.eof()
+                raise TransportError("server closed the connection")
+            payloads.extend(decoder.feed(data))
+        return payloads.popleft()
+
     async def _read_reply(self, expected_seq: int):
-        try:
-            header = await self._reader.readexactly(HEADER_BYTES)
-            (length,) = _HEADER.unpack(header)
-            if length > MAX_FRAME_BYTES:
-                raise TransportError(f"oversized reply frame ({length} bytes)")
-            payload = await self._reader.readexactly(length)
-        except asyncio.IncompleteReadError as error:
-            raise TransportError("server closed the connection") from error
-        seq, reply = decode_message(payload)
+        seq, reply = decode_message(await self._next_payload())
         # seq -1 flags a reply to a frame the server could not decode;
         # it still occupies this pipeline slot (replies are in order).
         if seq not in (expected_seq, -1):

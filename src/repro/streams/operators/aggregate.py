@@ -9,11 +9,16 @@ engine-side to be usable in obligations).
 Besides the whole-window ``compute`` callable, a function may carry an
 *incremental state* factory (:class:`AggregateState`): a small object
 that consumes window churn as ``insert``/``evict`` pairs and answers
-``result`` in O(1) (median: O(log size), on paired heaps), so
-overlapping sliding windows cost O(step) per advance instead of
-O(size) per emission.  Functions registered without a state factory
-(third-party registrations) transparently fall back to per-window
-recomputation over the columnar buffer.
+``result`` in O(1) (median: O(log size), on paired heaps), so a
+sliding window costs O(step) per advance instead of O(size) per
+emission.  The columnar tuple window uses the states only where that
+wins: on windows spanning more than
+:data:`~repro.streams.operators.window.INCREMENTAL_OVERLAP` steps, and
+for functions whose ``compute`` is a Python loop (``compute_is_loop``:
+stdev) on any overlapping window.  Everywhere else, and for functions
+registered without a state factory (third-party registrations), each
+window is recomputed from a column slice, where one builtin call
+costs less than three Python-level state calls per emission.
 """
 
 from __future__ import annotations
@@ -501,10 +506,16 @@ class AggregateFunction:
     type (sum of ints is an int; sum widens timestamps to double).
 
     ``make_state`` (optional) is a zero-argument factory producing an
-    :class:`AggregateState` for incremental sliding-window evaluation;
+    :class:`AggregateState` for incremental sliding-window evaluation
+    (used on heavily overlapping windows, see the module docstring);
     functions without one are recomputed per window from the columnar
     buffer, so third-party registrations keep working unchanged.
     """
+
+    #: True when ``compute`` runs a Python-level loop over the window
+    #: (stdev's Welford pass), so feeding the incremental state beats
+    #: recomputing at any overlap; builtin reductions leave it False.
+    compute_is_loop = False
 
     def __init__(
         self,
@@ -640,3 +651,4 @@ for _function in (
     AggregateFunction("stdev", _stdev, _always_double, make_state=_WelfordState),
 ):
     register_aggregate_function(_function)
+AGGREGATE_FUNCTIONS["stdev"].compute_is_loop = True

@@ -15,13 +15,18 @@ Two execution paths share those semantics:
 
 - **columnar** (default, ``use_compiled=True``): window state lives in
   per-attribute ring buffers (plain value lists with a logical base
-  offset) filled batch-at-a-time, and aggregates with an incremental
-  :class:`~repro.streams.operators.aggregate.AggregateState` are fed
-  insert/evict deltas so an overlapping tuple window costs O(step) per
-  advance instead of O(size); functions without a state (``median``,
-  third-party registrations) are recomputed per window from a column
-  slice.  Time windows evict through monotonic buffer pointers, with a
-  scan fallback that keeps out-of-order timestamp streams
+  offset) filled batch-at-a-time.  A tuple window recomputes each
+  emitted window from its column slice (one builtin call per
+  aggregate, exactly the reference path's arithmetic) unless it spans
+  more than :data:`INCREMENTAL_OVERLAP` advance steps: then every
+  aggregate with an incremental
+  :class:`~repro.streams.operators.aggregate.AggregateState` is fed
+  insert/evict deltas, so an advance costs O(step) instead of
+  O(size).  stdev, whose whole-window compute is a Python loop, keeps
+  its state on every overlapping window; functions without a state
+  (third-party registrations) are always recomputed.  Time windows
+  recompute from column slices found by monotonic buffer pointers,
+  with a scan fallback that keeps out-of-order timestamp streams
   output-identical to the seed.
 - **reference** (``use_compiled=False``): the seed row-oriented
   ``List[StreamTuple]`` buffers and per-window recomputation, kept for
@@ -31,7 +36,7 @@ Two execution paths share those semantics:
 from __future__ import annotations
 
 import enum
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError, StreamError
 from repro.streams.operators.aggregate import AggregateFunction, get_aggregate_function
@@ -160,8 +165,8 @@ class AggregateOperator(Operator):
 
     ``use_compiled=False`` pins the instance to the seed row-oriented
     recompute-per-window path (the reference mode for differential
-    testing); the default runs on columnar buffers with incremental
-    aggregate states — see the module docstring.
+    testing); the default runs on columnar buffers, with incremental
+    aggregate states only where they win — see the module docstring.
     """
 
     kind = "aggregate"
@@ -358,6 +363,16 @@ class AggregateOperator(Operator):
         )
 
 
+#: Tuple windows spanning more than this many advance steps
+#: (``size > INCREMENTAL_OVERLAP * step``) feed incremental aggregate
+#: states; narrower ones recompute every emitted window from its column
+#: slice with one builtin call per aggregate.  The crossover was
+#: measured per emission with five aggregates (docs/performance.md):
+#: at size 64 / step 8 recomputing costs less than half as much, at
+#: size 256 / step 1 the states cost half as much.
+INCREMENTAL_OVERLAP = 64
+
+
 class _ColumnarWindow:
     """Shared plumbing of the columnar window paths.
 
@@ -372,7 +387,7 @@ class _ColumnarWindow:
 
     __slots__ = (
         "size", "step", "specs", "attr_keys", "cols", "spec_cols",
-        "schema", "positions", "out_fields",
+        "schema", "positions", "out_plan",
     )
 
     def __init__(self, operator: AggregateOperator, schema: Schema):
@@ -389,7 +404,9 @@ class _ColumnarWindow:
         self.cols: List[List] = [[] for _ in attr_keys]
         self.spec_cols = [self.cols[index_of[spec.attribute]] for spec in self.specs]
         self.schema: Optional[Schema] = None
-        self.out_fields: Optional[Tuple[Field, ...]] = None
+        #: ``(exact type, coerce)`` per output field, resolved on the
+        #: first emission.
+        self.out_plan: Optional[Tuple[Tuple[type, Callable], ...]] = None
         self._rebind(schema)
 
     def _rebind(self, schema: Schema) -> None:
@@ -401,42 +418,63 @@ class _ColumnarWindow:
             self._rebind(schema)
 
     def _coerced(self, values, output_schema: Schema) -> StreamTuple:
-        if self.out_fields is None:
-            self.out_fields = tuple(output_schema)
-        return StreamTuple(
-            output_schema,
-            tuple(
-                field.dtype.coerce(value)
-                for field, value in zip(self.out_fields, values)
-            ),
-        )
+        """The output tuple; a value already of its field's exact type
+        is stored as is, any other goes through ``coerce``."""
+        plan = self.out_plan
+        if plan is None:
+            plan = self.out_plan = tuple(
+                (field.dtype.exact_type, field.dtype.coerce) for field in output_schema
+            )
+        return StreamTuple(output_schema, tuple([
+            value if type(value) is kind else coerce(value)
+            for (kind, coerce), value in zip(plan, values)
+        ]))
 
 
 class _ColumnarTupleWindow(_ColumnarWindow):
-    """Tuple-window state: columnar buffers + incremental aggregates.
+    """Tuple-window state: columnar buffers, recompute or incremental.
 
     ``win_start`` is the logical position of the pending window's first
-    tuple, ``inserted`` the next position to feed into the incremental
-    states, ``base`` the logical position of ``cols[*][0]``.  On every
-    advance the states evict exactly the ``step`` positions the window
-    slid past, so an overlapping window (step < size) is O(step) per
-    emission.  Non-overlapping windows (step ≥ size) skip the states
-    entirely — each element would be inserted and evicted exactly once,
-    so recomputing from the column slice is strictly cheaper.
+    tuple, ``base`` the logical position of ``cols[*][0]``.  Each
+    emitted window is the column slice ``[win_start, win_start+size)``.
+
+    Most windows are recomputed from that slice: one builtin
+    ``sum``/``min``/``max``/``len``/index/``sorted`` call per aggregate,
+    which on small windows costs less than the three Python calls per
+    aggregate that feeding a state takes, and answers exactly what the
+    reference path answers (same builtin, same values, same order).
+    An aggregate keeps an incremental state only where that wins: on a
+    heavily overlapping window (``size > INCREMENTAL_OVERLAP * step``),
+    whose advance costs O(step) instead of O(size), and for a function
+    whose whole-window compute is itself a Python loop
+    (``compute_is_loop``: stdev) on any overlapping window.  A state
+    is fed every position up to ``inserted`` and, on every advance,
+    evicts the ``step`` positions the window slid past.
+    Non-overlapping windows (step ≥ size) never hold states.
     """
 
-    __slots__ = ("states", "stateful", "base", "count", "win_start", "inserted")
+    __slots__ = ("states", "stateful", "readers", "base", "count", "win_start", "inserted")
 
     def __init__(self, operator: AggregateOperator, schema: Schema):
         super().__init__(operator, schema)
-        if self.step < self.size:
-            self.states = [spec.function.make_state() for spec in self.specs]
-        else:
-            self.states = [None] * len(self.specs)
+        heavy = self.size > INCREMENTAL_OVERLAP * self.step
+        self.states = [
+            spec.function.make_state()
+            if self.step < self.size and (heavy or spec.function.compute_is_loop)
+            else None
+            for spec in self.specs
+        ]
         self.stateful = [
             (state, col)
             for state, col in zip(self.states, self.spec_cols)
             if state is not None
+        ]
+        #: Per aggregate: the state's ``result``, or ``None`` and the
+        #: whole-window compute over its column.
+        self.readers = [
+            (state.result, None, col) if state is not None
+            else (None, spec.function.compute, col)
+            for spec, state, col in zip(self.specs, self.states, self.spec_cols)
         ]
         self.base = 0
         self.count = 0
@@ -450,14 +488,47 @@ class _ColumnarTupleWindow(_ColumnarWindow):
         for col, new_values in zip(self.cols, extract_columns(tuples, self.positions)):
             col.extend(new_values)
         self.count += len(tuples)
+        if self.stateful:
+            outputs = self._sweep_incremental(output_schema)
+        else:
+            outputs = self._sweep_recompute(output_schema)
+        # Trim the dead prefix no window can need again.  The base can
+        # only advance to positions that already exist (a step>size
+        # window's start may lie beyond the last arrival).
+        count = self.count
+        new_base = self.win_start if self.win_start < count else count
+        drop = new_base - self.base
+        if drop > 0:
+            for col in self.cols:
+                del col[:drop]
+            self.base = new_base
+        return outputs
+
+    def _sweep_recompute(self, output_schema: Schema) -> List[StreamTuple]:
+        count, size, step, base = self.count, self.size, self.step, self.base
+        readers = self.readers
+        coerced = self._coerced
+        outputs: List[StreamTuple] = []
+        win_start = self.win_start
+        while win_start + size <= count:
+            low = win_start - base
+            high = low + size
+            outputs.append(coerced(
+                [compute(col[low:high]) for _, compute, col in readers], output_schema
+            ))
+            win_start += step
+        self.win_start = win_start
+        return outputs
+
+    def _sweep_incremental(self, output_schema: Schema) -> List[StreamTuple]:
         count, size, step = self.count, self.size, self.step
         outputs: List[StreamTuple] = []
         while True:
             window_end = self.win_start + size
-            # Feed the states every arrived value of the pending window.
+            # Feed the states every arrived value of the pending window
+            # (states only exist for step < size, so the window never
+            # starts past what they already hold).
             low = self.inserted
-            if low < self.win_start:
-                low = self.win_start  # skip the gap of a step>size window
             high = count if count < window_end else window_end
             if low < high:
                 offset, limit = low - self.base, high - self.base
@@ -468,34 +539,19 @@ class _ColumnarTupleWindow(_ColumnarWindow):
                 break
             outputs.append(self._emit(output_schema))
             # Advance: evict the positions the window slid past.
-            evict_end = self.win_start + step
-            if evict_end > window_end:
-                evict_end = window_end
-            offset, limit = self.win_start - self.base, evict_end - self.base
+            offset, limit = self.win_start - self.base, self.win_start + step - self.base
             for state, col in self.stateful:
                 state.evict_many(col[offset:limit])
             self.win_start += step
-        # Trim the dead prefix no window can need again.  The base can
-        # only advance to positions that already exist (a step>size
-        # window's start may lie beyond the last arrival).
-        new_base = self.win_start if self.win_start < count else count
-        drop = new_base - self.base
-        if drop > 0:
-            for col in self.cols:
-                del col[:drop]
-            self.base = new_base
         return outputs
 
     def _emit(self, output_schema: Schema) -> StreamTuple:
         low = self.win_start - self.base
         high = low + self.size
-        values = []
-        for spec, state, col in zip(self.specs, self.states, self.spec_cols):
-            if state is not None:
-                values.append(state.result())
-            else:
-                values.append(spec.function.compute(col[low:high]))
-        return self._coerced(values, output_schema)
+        return self._coerced([
+            result() if result is not None else compute(col[low:high])
+            for result, compute, col in self.readers
+        ], output_schema)
 
 
 class _ColumnarTimeWindow(_ColumnarWindow):

@@ -34,6 +34,17 @@ class DataType(enum.Enum):
         """Python types accepted for values of this data type."""
         return _PYTHON_TYPES[self]
 
+    @property
+    def exact_type(self) -> type:
+        """The Python type :meth:`coerce` returns values of unchanged.
+
+        A value whose type *is* this type (not a subclass: ``bool`` is
+        an ``int``) needs no coercion; typed fast paths test for it and
+        send every other value through :meth:`coerce`, so rejections and
+        widenings behave exactly as before.
+        """
+        return _EXACT_TYPES[self]
+
     def coerce(self, value):
         """Coerce *value* to this data type, raising :class:`SchemaError`.
 
@@ -89,6 +100,14 @@ _PYTHON_TYPES: Dict[DataType, Tuple[type, ...]] = {
     DataType.STRING: (str,),
     DataType.BOOL: (bool,),
     DataType.TIMESTAMP: (int, float),
+}
+
+_EXACT_TYPES: Dict[DataType, type] = {
+    DataType.INT: int,
+    DataType.DOUBLE: float,
+    DataType.STRING: str,
+    DataType.BOOL: bool,
+    DataType.TIMESTAMP: float,
 }
 
 #: Data types on which arithmetic aggregation (avg, sum, ...) is defined.
@@ -152,6 +171,12 @@ class Schema:
         if not self._fields:
             raise SchemaError(f"schema {name!r} must have at least one field")
         self._names: Tuple[str, ...] = tuple(field.name for field in self._fields)
+        #: Field count, read on every tuple construction.
+        self.width = len(self._fields)
+        #: make_tuple's per-field plan, built on first use (see
+        #: :meth:`record_plan`); schemas that never build a tuple from a
+        #: mapping never pay for it.
+        self._record_plan: Optional[Tuple[frozenset, Tuple[tuple, ...]]] = None
 
     @property
     def fields(self) -> Tuple[Field, ...]:
@@ -163,7 +188,7 @@ class Schema:
         return self._names
 
     def __len__(self) -> int:
-        return len(self._fields)
+        return self.width
 
     def __iter__(self) -> Iterator[Field]:
         return iter(self._fields)
@@ -193,6 +218,24 @@ class Schema:
         compiled projections) instead of one lookup per tuple.
         """
         return tuple(self.position(attribute) for attribute in attributes)
+
+    def record_plan(self) -> Tuple[frozenset, Tuple[tuple, ...]]:
+        """``(declared names, ((name, exact type, coerce), ...))``.
+
+        The typed fast path of :func:`~repro.streams.tuples.make_tuple`
+        for records keyed by the declared spellings; built on the first
+        call and cached.
+        """
+        plan = self._record_plan
+        if plan is None:
+            plan = self._record_plan = (
+                frozenset(self._names),
+                tuple(
+                    (field.name, field.dtype.exact_type, field.dtype.coerce)
+                    for field in self._fields
+                ),
+            )
+        return plan
 
     def canonical_name(self, attribute: str) -> str:
         """Return the declared spelling of *attribute*."""

@@ -147,7 +147,8 @@ class Stream:
             raise StreamError(f"stream {self.name!r} is closed")
         schema = self.schema
         for tup in batch:
-            if tup.schema is not schema and tup.schema != schema:
+            # The slot, not the property: this check runs once per tuple.
+            if tup._schema is not schema and tup._schema != schema:
                 raise StreamError(
                     f"tuple schema {tup.schema.name!r} does not match stream "
                     f"{self.name!r} schema {self.schema.name!r}"

@@ -23,10 +23,10 @@ class StreamTuple:
     __slots__ = ("_schema", "_values")
 
     def __init__(self, schema: Schema, values: Tuple[Any, ...]):
-        if len(values) != len(schema):
+        if len(values) != schema.width:
             raise SchemaError(
                 f"tuple has {len(values)} values but schema {schema.name!r} "
-                f"has {len(schema)} fields"
+                f"has {schema.width} fields"
             )
         self._schema = schema
         self._values = values
@@ -89,7 +89,27 @@ def make_tuple(schema: Schema, record: Mapping[str, Any]) -> StreamTuple:
     Every schema field must be present in *record* (case-insensitive);
     extra keys are rejected so typos surface immediately.  Values are
     coerced via :meth:`DataType.coerce`.
+
+    A record keyed by exactly the declared spellings (the common case:
+    sources and the wire both use them) takes the schema's cached
+    :meth:`~repro.streams.schema.Schema.record_plan`, where a value of
+    its field's exact type is stored as is and any other goes through
+    ``coerce`` — the same values, types and errors as the general path,
+    which every other record takes.
     """
+    names, plan = schema.record_plan()
+    if record.keys() == names:
+        return StreamTuple(schema, tuple([
+            value if type(value) is kind else coerce(value)
+            for name, kind, coerce in plan
+            for value in (record[name],)
+        ]))
+    return _make_tuple_general(schema, record)
+
+
+def _make_tuple_general(schema: Schema, record: Mapping[str, Any]) -> StreamTuple:
+    """:func:`make_tuple` for any record: case-insensitive keys, and
+    every :class:`SchemaError` the contract names."""
     lowered = {key.lower(): value for key, value in record.items()}
     if len(lowered) != len(record):
         raise SchemaError(f"record has duplicate keys (case-insensitive): {sorted(record)}")
